@@ -1804,6 +1804,19 @@ impl Sal {
         nodes
     }
 
+    /// The replica a read of `page` at `as_of` tries first: the
+    /// best-routed replica of its slice, in the order the next read plan
+    /// uses. `None` until this SAL has touched the slice. Lets a fault
+    /// drill kill the node a read is about to use.
+    pub fn read_route(&self, page: PageId, as_of: Option<Lsn>) -> Option<NodeId> {
+        let key = self
+            .pages
+            .route_read(self.db, page, self.cfg.pages_per_slice, as_of);
+        let st = self.state.lock();
+        let slice = st.slices.get(&key)?;
+        self.replicas_by_latency(slice).first().copied()
+    }
+
     fn note_read_latency(&self, key: SliceKey, node: NodeId, us: u64) {
         let mut st = self.state.lock();
         if let Some(slice) = st.slices.get_mut(&key) {

@@ -239,10 +239,13 @@ fn grouped_reads_survive_concurrent_writes_and_replica_loss() {
 
     for round in 0..5 {
         if round == 2 {
-            // Kill a Page Store replica mid-run: grouped envelopes to the
-            // dead node fail over per slice, which retries healthy
-            // replicas — results stay identical to the per-page path.
-            db.fabric.set_down(db.pages.server_nodes()[0]);
+            // Kill a Page Store replica mid-run — the node the next grouped
+            // plan routes the first page's slice to, so an envelope is sure
+            // to hit it. The dead node's slices fail over per slice, which
+            // retries healthy replicas — results stay identical to the
+            // per-page path.
+            let victim = master.sal.read_route(ids[0], Some(pin)).unwrap();
+            db.fabric.set_down(victim);
         }
         check_grouped_matches_singles(&db, &ids, Some(pin));
     }
