@@ -630,6 +630,10 @@ struct PipeState {
     /// dispatcher). At most one at a time keeps shipment per-node FIFO.
     draining: bool,
     in_flight: Gauge,
+    /// Fragments ever queued / ever taken through a ship attempt; a
+    /// quiesce waits for `shipped` to reach the `queued` it observed.
+    queued: u64,
+    shipped: u64,
 }
 
 impl PipeState {
@@ -638,6 +642,8 @@ impl PipeState {
             queue: VecDeque::new(),
             draining: false,
             in_flight: Gauge::new(),
+            queued: 0,
+            shipped: 0,
         }
     }
 }
@@ -813,6 +819,7 @@ impl Sal {
             return false;
         }
         pipe.queue.push_back(job);
+        pipe.queued += 1;
         if !pipe.draining {
             pipe.draining = true;
             let weak = self.myself.clone();
@@ -863,9 +870,10 @@ impl Sal {
             } else {
                 self.ship_with_retry(node, &jobs[0], &mut rng);
             }
-            let pipes = self.pipes.lock();
-            if let Some(pipe) = pipes.get(&node) {
+            let mut pipes = self.pipes.lock();
+            if let Some(pipe) = pipes.get_mut(&node) {
                 pipe.in_flight.sub(n as u64);
+                pipe.shipped += n as u64;
             }
         }
     }
@@ -1482,17 +1490,41 @@ impl Sal {
         }
     }
 
-    /// Forces every slice buffer out (quiesce; used by tests and shutdown).
+    /// Forces every slice buffer out, then waits until every live
+    /// replica's send pipe has made a ship attempt for everything queued so
+    /// far (quiesce; used by tests, benches and shutdown). Without the wait
+    /// only the first replica ack is guaranteed, so a caller inspecting one
+    /// particular replica right after could find it still missing the
+    /// fragment. Pipes to down nodes are not waited on: their drains end in
+    /// parking, not delivery. Fragments queued after the call starts are
+    /// not waited on either, so a concurrent writer cannot stall it.
     pub fn flush_all_slices(&self) {
-        let mut st = self.state.lock();
-        let keys: Vec<SliceKey> = st
-            .slices
-            .iter()
-            .filter(|(_, s)| !s.buffer.is_empty())
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            self.flush_slice_locked(&mut st, key);
+        {
+            let mut st = self.state.lock();
+            let keys: Vec<SliceKey> = st
+                .slices
+                .iter()
+                .filter(|(_, s)| !s.buffer.is_empty())
+                .map(|(k, _)| *k)
+                .collect();
+            for key in keys {
+                self.flush_slice_locked(&mut st, key);
+            }
+        }
+        let targets: Vec<(NodeId, u64)> = {
+            let pipes = self.pipes.lock();
+            pipes.iter().map(|(n, p)| (*n, p.queued)).collect()
+        };
+        for (node, queued) in targets {
+            while self.pages.is_live(node)
+                && self
+                    .pipes
+                    .lock()
+                    .get(&node)
+                    .is_some_and(|p| p.shipped < queued)
+            {
+                std::thread::yield_now();
+            }
         }
     }
 
