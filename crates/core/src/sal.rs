@@ -12,7 +12,7 @@
 //! coalescing, a queued run of fragments to one node rides one grouped
 //! envelope instead of one round trip each.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -31,8 +31,8 @@ use taurus_common::{
 };
 use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
 use taurus_pagestore::{
-    IngestFilter, PageReadOutcome, PageStoreCluster, ReadPagesRequest, ScanSliceRequest,
-    SliceFragment, SliceHeatSnapshot,
+    IngestFilter, PageReadOutcome, PageStoreCluster, ReadPagesRequest, ReadPagesResponse,
+    ScanSliceRequest, ScanSliceResponse, SliceCall, SliceFragment, SliceHeatSnapshot,
 };
 
 /// Per-slice state the SAL maintains (paper §3.5, §4).
@@ -413,7 +413,7 @@ pub struct NdpStats {
     pub slice_calls: Counter,
     /// Failed `ScanSlice` attempts (replica skipped, next one tried).
     pub slice_retries: Counter,
-    /// Slices that fell back to `ReadPage` + local evaluation.
+    /// Slices that fell back to fetching their pages + local evaluation.
     pub fallbacks: Counter,
     /// Row slots examined remotely by Page Stores.
     pub rows_scanned: Counter,
@@ -506,13 +506,13 @@ pub struct ReadBatchStats {
     pub batch_retries: Counter,
     /// Page ids requested across all batches.
     pub pages_requested: Counter,
-    /// Pages returned by successful `ReadPages` RPCs.
+    /// Distinct pages the batches returned.
     pub pages_returned: Counter,
-    /// Per-page failures inside otherwise-successful batches (recycled
-    /// versions, torn materializations).
+    /// Per-page failures inside otherwise-successful `ReadPages` responses
+    /// (torn materializations). A recycled version fails the whole read.
     pub partial_failures: Counter,
-    /// Pages re-read through the single-page `ReadPage` repair path after
-    /// the batch could not serve them.
+    /// Pages a replica failed per page that the read transport then
+    /// re-requested from the next replica.
     pub straggler_retries: Counter,
     /// Pages-per-RPC histogram: buckets 1, 2–4, 5–16, 17–64, 65+.
     pub pages_per_rpc: [Counter; 5],
@@ -593,7 +593,7 @@ pub struct TableScan {
     pub agg: AggState,
     /// Slices answered by remote `ScanSlice` execution.
     pub pushdown_slices: usize,
-    /// Slices that fell back to `ReadPage`-and-evaluate-locally.
+    /// Slices that fell back to fetch-and-evaluate-locally.
     pub fallback_slices: usize,
 }
 
@@ -1689,118 +1689,287 @@ impl Sal {
     }
 
     // ==================================================================
-    // Read path (§4.2)
+    // Read path (§4.2): one transport for point reads, batched reads and
+    // pushdown scans
     // ==================================================================
 
     /// Reads the version of `page` at `as_of` (defaults to the highest LSN
-    /// safe for the master: the slice's acked LSN). Tries replicas in
-    /// latency order; a replica that is behind or down is skipped; if all
-    /// fail, repairs via the Log Stores and retries (§4.2, §5.2).
-    ///
-    /// An explicit `as_of` is a *global* snapshot LSN, which a quiet
-    /// slice's replicas can never reach (their persistent LSN tops out at
-    /// the slice's own last record). The request is therefore capped at the
-    /// slice's flush LSN — exact, because after the buffer flush below the
-    /// slice has no records in `(flush_lsn, as_of]`, so the version at
-    /// `as_of` *is* the version at `flush_lsn`.
+    /// safe for the master: the slice's acked LSN). A point read is a
+    /// one-page batch on the read transport ([`Sal::execute`]); its RPCs
+    /// count as `page_reads` and `read_retries`, never as batch RPCs.
     pub fn read_page(&self, page: PageId, as_of: Option<Lsn>) -> Result<PageBuf> {
         self.stats.page_reads.inc();
-        let key = self
-            .pages
-            .route_read(self.db, page, self.cfg.pages_per_slice, as_of);
-        let out = match self.read_page_at(key, page, as_of) {
-            Err(TaurusError::SliceFenced { .. })
-            | Err(TaurusError::PlacementEpochMismatch { .. }) => {
-                // Raced an elastic cut-over: the slice we routed to was
-                // sealed (or our epoch went stale) between routing and the
-                // RPC. Learn the new placement and route once more.
-                self.stats.read_retries.inc();
-                self.refresh_placement();
-                let key = self
-                    .pages
-                    .route_read(self.db, page, self.cfg.pages_per_slice, as_of);
-                self.read_page_at(key, page, as_of)
-            }
-            other => other,
-        };
-        if out.is_ok() {
-            self.stats.slice_read_ops.inc();
-            self.stats.slice_read_bytes.add(PAGE_SIZE as u64);
-        }
-        out
+        let (_, buf) = self
+            .read_planned(&[page], as_of, None, false)?
+            .pop()
+            .ok_or_else(|| TaurusError::Internal("point read lost its page".into()))?;
+        self.stats.slice_read_ops.inc();
+        self.stats.slice_read_bytes.add(PAGE_SIZE as u64);
+        Ok(buf)
     }
 
-    /// [`Sal::read_page`] with the slice already routed.
-    fn read_page_at(&self, key: SliceKey, page: PageId, as_of: Option<Lsn>) -> Result<PageBuf> {
-        self.ensure_slices(&[key])?;
-        let (replicas, as_of) = {
+    /// Reads many pages at one snapshot in as few round trips as possible
+    /// on the read transport, which coalesces slices per Page Store node.
+    /// Returns exactly what N sequential `read_page` calls at the same
+    /// `as_of` would, in request order (duplicates included).
+    pub fn read_pages(&self, ids: &[PageId], as_of: Option<Lsn>) -> Result<Vec<(PageId, PageBuf)>> {
+        if ids.is_empty() {
+            return Ok(Vec::new());
+        }
+        let stats = &self.read_batch_stats;
+        stats.batches.inc();
+        stats.pages_requested.add(ids.len() as u64);
+        let got: HashMap<PageId, PageBuf> = self
+            .read_planned(ids, as_of, Some(stats), false)?
+            .into_iter()
+            .collect();
+        stats.pages_returned.add(got.len() as u64);
+        ids.iter()
+            .map(|page| match got.get(page) {
+                Some(buf) => Ok((*page, buf.clone())),
+                None => Err(TaurusError::Internal("batched read lost a page".into())),
+            })
+            .collect()
+    }
+
+    /// Groups `ids` by the slice `route_read` sends them to (duplicates
+    /// dropped), plans each slice and runs the plan. `batch` carries the
+    /// batched-read counters (`None` for a point read); `rerouted` marks
+    /// the one reroute after an elastic cut-over.
+    fn read_planned(
+        &self,
+        ids: &[PageId],
+        as_of: Option<Lsn>,
+        batch: Option<&ReadBatchStats>,
+        rerouted: bool,
+    ) -> Result<Vec<(PageId, PageBuf)>> {
+        let mut groups: BTreeMap<SliceKey, BTreeSet<PageId>> = BTreeMap::new();
+        for &page in ids {
+            let key = self
+                .pages
+                .route_read(self.db, page, self.cfg.pages_per_slice, as_of);
+            groups.entry(key).or_default().insert(page);
+        }
+        self.ensure_slices(&groups.keys().copied().collect::<Vec<_>>())?;
+        let plan: Vec<Planned<PageWork>> = {
             let mut st = self.state.lock();
-            let eff = match as_of {
-                None => st.slices[&key].acked_lsn,
-                Some(requested) => {
-                    if requested > st.slices[&key].flush_lsn {
-                        // Unflushed buffer records may fall inside the
-                        // snapshot; ship them so the cap is exact.
-                        self.flush_slice_locked(&mut st, key);
-                    }
-                    requested.min(st.slices[&key].flush_lsn)
-                }
-            };
-            (self.replicas_by_latency(&st.slices[&key]), eff)
+            groups
+                .into_iter()
+                .map(|(key, pages)| {
+                    let work = PageWork {
+                        pending: pages.into_iter().collect(),
+                        served: Vec::new(),
+                    };
+                    self.plan(&mut st, key, as_of, work)
+                })
+                .collect()
         };
-        match self.try_read(key, page, as_of, &replicas) {
-            Ok(buf) => Ok(buf),
-            Err(_) => {
-                // All replicas failed: the rare cascading-failure path. Pull
-                // the missing records from the Log Stores, resend, retry
-                // once (paper §4.2: "SAL recognizes this situation and
-                // repairs data using Log Stores").
-                self.repair_slice_from_logstores(key)?;
+        let read = PageRead {
+            as_of,
+            batch,
+            rerouted,
+        };
+        Ok(self.execute(&read, plan)?.into_iter().flatten().collect())
+    }
+
+    /// Plans and executes a pushed-down table scan at snapshot `as_of` on
+    /// the read transport: every live slice is scanned where it lives, and
+    /// a slice no replica can scan is fetched and evaluated locally.
+    /// Results are merged and key-sorted.
+    pub fn scan_pushdown(&self, req: &ScanRequest, as_of: Lsn) -> Result<TableScan> {
+        self.ndp_stats.pushdown_scans.inc();
+        let plan: Vec<Planned<Option<SliceScanOutcome>>> = {
+            let mut st = self.state.lock();
+            // Retired cut-over parents are skipped: their successors cover
+            // the key range at every scannable snapshot, and scanning both
+            // would double-count the ingest overlap. (Historical scans below
+            // a successor's base LSN are out of scope — point reads route by
+            // fence via `route_read`.)
+            let keys: BTreeSet<SliceKey> = st
+                .slices
+                .iter()
+                .filter_map(|(k, s)| s.fence.is_none().then_some(*k))
+                .collect();
+            keys.into_iter()
+                .map(|key| self.plan(&mut st, key, Some(as_of), None))
+                .collect()
+        };
+        let mut out = TableScan::default();
+        for slice_out in self.execute(&PushdownScan(req), plan)? {
+            out.fallback_slices += usize::from(slice_out.fallback);
+            out.pushdown_slices += usize::from(!slice_out.fallback);
+            out.rows.extend(slice_out.rows);
+            out.agg.merge(&slice_out.agg);
+        }
+        // At one snapshot LSN, leaf pages partition the key space across
+        // slices, so keys are globally unique — a plain sort restores the
+        // B-tree scan order.
+        out.rows.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(out)
+    }
+
+    /// Plans one slice: its replicas in routing order and the snapshot
+    /// they can serve. `None` pins the slice at its acked LSN. An explicit
+    /// `as_of` is a *global* snapshot LSN, which a quiet slice's replicas
+    /// never reach (their persistent LSN tops out at the slice's own last
+    /// record), so it is capped at the slice's flush LSN — exact, because
+    /// after the buffer flush below the slice has no records in
+    /// `(flush_lsn, as_of]`, so the version at `as_of` *is* the version at
+    /// `flush_lsn`.
+    fn plan<W>(&self, st: &mut SalState, key: SliceKey, as_of: Option<Lsn>, work: W) -> Planned<W> {
+        if as_of.is_some_and(|lsn| lsn > st.slices[&key].flush_lsn) {
+            self.flush_slice_locked(st, key);
+        }
+        let slice = &st.slices[&key];
+        Planned {
+            key,
+            as_of: as_of.map_or(slice.acked_lsn, |lsn| lsn.min(slice.flush_lsn)),
+            replicas: self.replicas_by_latency(slice),
+            work,
+        }
+    }
+
+    /// The read transport. With `rpc_coalescing`, a plan of more than one
+    /// slice first rides per-node envelopes ([`Sal::envelopes`]). Every
+    /// slice then runs the per-slice loop ([`Sal::run_slice`]), which
+    /// returns at once for a slice an envelope finished. A single slice
+    /// left with work runs inline on the caller; several are fanned out on
+    /// the fabric's bounded dispatcher.
+    fn execute<O: SliceRead>(&self, op: &O, plan: Vec<Planned<O::Work>>) -> Result<Vec<O::Out>> {
+        let mut plan = plan;
+        if self.cfg.rpc_coalescing && plan.len() > 1 {
+            self.envelopes(op, &mut plan)?;
+        }
+        let (mut inline, mut rest): (Vec<_>, Vec<_>) =
+            plan.into_iter().partition(|s| O::done(&s.work));
+        if rest.len() == 1 {
+            // No dispatcher job and no boxed closure for a lone slice.
+            inline.append(&mut rest);
+        }
+        let mut out = Vec::with_capacity(inline.len() + rest.len());
+        for slice in inline {
+            out.push(self.run_slice(op, slice)?);
+        }
+        type Job<'a, T> = Box<dyn FnOnce() -> Result<T> + Send + 'a>;
+        let jobs: Vec<Job<'_, O::Out>> = rest
+            .into_iter()
+            .map(|slice| Box::new(move || self.run_slice(op, slice)) as Job<'_, O::Out>)
+            .collect();
+        for res in self.pages.fabric.fan_out(jobs) {
+            out.push(res?);
+        }
+        Ok(out)
+    }
+
+    /// Coalescing: every slice whose primary (best-routed) replica lives on
+    /// the same Page Store node rides ONE grouped fabric envelope — one
+    /// round trip, one latency charge — instead of one call per slice. A
+    /// slice the envelope does not finish (envelope failure, budget
+    /// continuation, per-page failure) is left to the per-slice loop;
+    /// reads are idempotent, so the retry returns byte-identical results.
+    fn envelopes<O: SliceRead>(&self, op: &O, plan: &mut [Planned<O::Work>]) -> Result<()> {
+        let mut groups: BTreeMap<NodeId, Vec<(usize, O::Call)>> = BTreeMap::new();
+        for (i, slice) in plan.iter().enumerate() {
+            if let Some(&node) = slice.replicas.first() {
+                let call = op.request(self, slice);
+                groups.entry(node).or_default().push((i, call));
+            }
+        }
+        let groups: Vec<_> = groups.into_iter().collect();
+        let start = self.clock.now_us();
+        let replies = self
+            .pages
+            .call_grouped(self.me, &groups, |_, server, (_, call)| call.serve(server));
+        // One EWMA sample per slice, charged with the whole fan-out's
+        // elapsed time: envelopes run concurrently on the dispatcher, so
+        // this is each envelope's wall time plus any queueing — an honest
+        // congestion signal for the routing order.
+        let elapsed = self.clock.now_us().saturating_sub(start).max(1);
+        for ((node, group), slots) in groups.into_iter().zip(replies) {
+            self.stats.note_coalesced(group.len());
+            let (delivered, mut items) = (slots.iter().any(Result::is_ok), 0);
+            for ((i, mut call), slot) in group.into_iter().zip(slots) {
+                let slice = &mut plan[i];
+                match slot {
+                    // A response that needs a continuation is dropped; the
+                    // slice restarts on the per-slice loop.
+                    Ok(resp) if call.resume(&resp) => self.stats.grouped_fallback_slices.inc(),
+                    Ok(resp) => {
+                        self.note_read_latency(slice.key, node, elapsed);
+                        items += op.absorb(self, &mut slice.work, resp)?;
+                    }
+                    Err(_) => {
+                        // Same EWMA penalty as the per-slice loop, so a
+                        // dead primary sinks in the routing order.
+                        self.note_read_latency(slice.key, node, elapsed.saturating_mul(4));
+                        op.note_failure(self);
+                        self.stats.grouped_fallback_slices.inc();
+                    }
+                }
+            }
+            if delivered {
+                op.note_rpc(self, items);
+            }
+        }
+        Ok(())
+    }
+
+    /// The per-slice loop: the slice's outstanding work goes to each
+    /// replica in routing order, following budget continuations (a replica
+    /// that fails mid-continuation loses its partial result). If the
+    /// replicas cannot finish it — the rare cascading-failure path — the
+    /// slice is repaired from the Log Stores (paper §4.2: "SAL recognizes
+    /// this situation and repairs data using Log Stores"), the placement
+    /// refreshed, and the replicas tried once more. The kind's terminal
+    /// step then runs with the last replica error.
+    fn run_slice<O: SliceRead>(&self, op: &O, mut slice: Planned<O::Work>) -> Result<O::Out> {
+        let mut err = TaurusError::AllReplicasFailed(slice.key);
+        for round in 0..2 {
+            if O::done(&slice.work) {
+                break;
+            }
+            if round == 1 {
+                let _ = self.repair_slice_from_logstores(slice.key);
+                self.refresh_placement();
                 // Re-snapshot the replica list: the repair (or a concurrent
                 // rebuild) may have moved the slice to different nodes, and
-                // the pre-repair snapshot would retry exactly the replicas
-                // that just failed.
-                self.refresh_placement();
-                let replicas = {
-                    let st = self.state.lock();
-                    match st.slices.get(&key) {
-                        Some(slice) => self.replicas_by_latency(slice),
-                        None => replicas,
+                // the old list would retry exactly the replicas that failed.
+                if let Some(state) = self.state.lock().slices.get(&slice.key) {
+                    slice.replicas = self.replicas_by_latency(state);
+                }
+            }
+            for node in slice.replicas.clone() {
+                let start = self.clock.now_us();
+                let call = op.request(self, &slice);
+                let res = self.pages.call_resumed(node, self.me, call);
+                let elapsed = self.clock.now_us().saturating_sub(start);
+                match res {
+                    Ok(resps) => {
+                        // One EWMA sample per round trip on average:
+                        // batches, scans and point reads feed one signal.
+                        let per_rpc = elapsed / resps.len().max(1) as u64;
+                        self.note_read_latency(slice.key, node, per_rpc);
+                        for resp in resps {
+                            let items = op.absorb(self, &mut slice.work, resp)?;
+                            op.note_rpc(self, items);
+                        }
+                        if O::done(&slice.work) {
+                            break;
+                        }
                     }
-                };
-                self.try_read(key, page, as_of, &replicas)
-            }
-        }
-    }
-
-    fn try_read(
-        &self,
-        key: SliceKey,
-        page: PageId,
-        as_of: Lsn,
-        replicas: &[NodeId],
-    ) -> Result<PageBuf> {
-        let mut last_err = TaurusError::AllReplicasFailed(key);
-        for &node in replicas {
-            let start = self.clock.now_us();
-            match self.pages.read_page_from(node, self.me, key, page, as_of) {
-                Ok((buf, _)) => {
-                    self.note_read_latency(key, node, self.clock.now_us() - start);
-                    return Ok(buf);
-                }
-                Err(e) => {
-                    // Feed the EWMA on failure too, with a penalty: a
-                    // replica that errors instantly must not keep the best
-                    // (lowest) latency score and stay first in the routing
-                    // order — that starves the healthy replicas.
-                    let elapsed = self.clock.now_us().saturating_sub(start);
-                    self.note_read_latency(key, node, elapsed.max(1).saturating_mul(4));
-                    self.stats.read_retries.inc();
-                    last_err = e;
+                    Err(e) => {
+                        // Feed the EWMA on failure too, with a penalty: a
+                        // replica that errors instantly must not keep the
+                        // best (lowest) latency score and stay first in the
+                        // routing order — that starves the healthy replicas.
+                        self.note_read_latency(slice.key, node, elapsed.max(1).saturating_mul(4));
+                        op.note_failure(self);
+                        err = e;
+                    }
                 }
             }
         }
-        Err(last_err)
+        op.resolve(self, slice, err)
     }
 
     /// Replicas in preferred read order: healthy before suspect, then by
@@ -1808,31 +1977,14 @@ impl Sal {
     /// the known ones (not 0.0, which would always route the first read of
     /// every slice to an unmeasured — possibly failing — replica).
     fn replicas_by_latency(&self, slice: &SliceState) -> Vec<NodeId> {
-        let known: Vec<f64> = slice.read_latency_us.values().copied().collect();
-        let unknown_default = if known.is_empty() {
-            0.0
-        } else {
-            known.iter().sum::<f64>() / known.len() as f64
-        };
+        let known = &slice.read_latency_us;
+        let unknown = known.values().sum::<f64>() / known.len().max(1) as f64;
         let suspects = self.suspects.lock();
         let mut nodes = slice.replicas.clone();
-        nodes.sort_by(|a, b| {
-            let sa = suspects.contains(a);
-            let sb = suspects.contains(b);
-            let la = slice
-                .read_latency_us
-                .get(a)
-                .copied()
-                .unwrap_or(unknown_default);
-            let lb = slice
-                .read_latency_us
-                .get(b)
-                .copied()
-                .unwrap_or(unknown_default);
-            (sa, la)
-                .partial_cmp(&(sb, lb))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        // Latencies are non-negative, so their bit patterns sort like
+        // their values.
+        let latency = |n: &NodeId| known.get(n).map_or(unknown, |l| *l).to_bits();
+        nodes.sort_by_key(|n| (suspects.contains(n), latency(n)));
         nodes
     }
 
@@ -1856,549 +2008,214 @@ impl Sal {
             *ewma = 0.8 * *ewma + 0.2 * us as f64;
         }
     }
+}
 
-    // ==================================================================
-    // Batched read path
-    // ==================================================================
+/// One slice of a read plan: its replicas in routing order, the snapshot
+/// they serve, and the work still outstanding on it.
+struct Planned<W> {
+    key: SliceKey,
+    as_of: Lsn,
+    replicas: Vec<NodeId>,
+    work: W,
+}
 
-    /// Reads many pages at one snapshot in as few round trips as possible:
-    /// the ids are grouped by slice, slices are grouped by their primary
-    /// replica's node, and (with `rpc_coalescing`) one grouped envelope per
-    /// node is fanned out on the fabric's bounded dispatcher pool. Slices
-    /// that cannot ride an envelope use one `ReadPages` RPC each — the same
-    /// `(suspect, EWMA)` replica routing as [`Sal::read_page`], following
-    /// budget continuations. Pages a batch could not serve (per-page failures, or
-    /// every replica refusing the slice) are retried individually through
-    /// `read_page`, which carries the Log-Store repair path — so the call
-    /// returns exactly what N sequential `read_page` calls at the same
-    /// `as_of` would, in request order.
-    ///
-    /// Snapshot handling matches `read_page`: `None` pins each slice at its
-    /// acked LSN; an explicit `as_of` is a global snapshot capped per slice
-    /// at the flush LSN after a buffer flush (exact — the slice has no
-    /// records in `(flush_lsn, as_of]`).
-    pub fn read_pages(&self, ids: &[PageId], as_of: Option<Lsn>) -> Result<Vec<(PageId, PageBuf)>> {
-        if ids.is_empty() {
-            return Ok(Vec::new());
+/// What the read transport carries for one slice: a page batch
+/// (`ReadPages`) or a pushed-down scan (`ScanSlice`). The transport owns
+/// routing, envelopes, failover and repair; a kind owns its wire request,
+/// how a response advances the slice's work, its counters, and the
+/// terminal step.
+trait SliceRead: Sync {
+    type Call: SliceCall;
+    type Work: Send;
+    type Out: Send;
+    /// The wire request for a slice's outstanding work.
+    fn request(&self, sal: &Sal, slice: &Planned<Self::Work>) -> Self::Call;
+    /// Folds one response into the slice's work and returns the pages it
+    /// carried (for the per-RPC counters). An error ends the whole read.
+    fn absorb(&self, sal: &Sal, work: &mut Self::Work, resp: Reply<Self>) -> Result<usize>;
+    fn done(work: &Self::Work) -> bool;
+    /// Counts one delivered round trip that carried `items` pages.
+    fn note_rpc(&self, sal: &Sal, items: usize);
+    fn note_failure(&self, sal: &Sal);
+    /// The slice's result once its replicas are through; `err` is the last
+    /// replica error, for work they could not finish.
+    fn resolve(&self, sal: &Sal, slice: Planned<Self::Work>, err: TaurusError)
+        -> Result<Self::Out>;
+}
+
+/// The response type of a read kind's wire request.
+type Reply<O> = <<O as SliceRead>::Call as SliceCall>::Resp;
+
+/// A page read's work on one slice: ids not served yet, and pages served.
+struct PageWork {
+    pending: Vec<PageId>,
+    served: Vec<(PageId, PageBuf)>,
+}
+
+/// Page reads over `ReadPages`. A batch counts into `batch`; a point read
+/// (`None`) counts failed attempts as the SAL's `read_retries` instead.
+struct PageRead<'a> {
+    /// The caller's global snapshot, kept for a reroute.
+    as_of: Option<Lsn>,
+    batch: Option<&'a ReadBatchStats>,
+    rerouted: bool,
+}
+
+impl SliceRead for PageRead<'_> {
+    type Call = ReadPagesRequest;
+    type Work = PageWork;
+    type Out = Vec<(PageId, PageBuf)>;
+
+    fn request(&self, sal: &Sal, slice: &Planned<PageWork>) -> ReadPagesRequest {
+        ReadPagesRequest {
+            key: slice.key,
+            as_of: slice.as_of,
+            pages: slice.work.pending.clone(),
+            max_pages: sal.cfg.read_batch_max_pages,
+            max_bytes: sal.cfg.read_batch_max_bytes,
         }
-        self.read_batch_stats.batches.inc();
-        self.read_batch_stats.pages_requested.add(ids.len() as u64);
-        // Group by slice, keeping first-seen order and dropping duplicates.
-        let mut order: Vec<SliceKey> = Vec::new();
-        let mut by_slice: HashMap<SliceKey, Vec<PageId>> = HashMap::new();
-        for &page in ids {
-            let key = self
-                .pages
-                .route_read(self.db, page, self.cfg.pages_per_slice, as_of);
-            let group = by_slice.entry(key).or_insert_with(|| {
-                order.push(key);
-                Vec::new()
-            });
-            if !group.contains(&page) {
-                group.push(page);
-            }
-        }
-        self.ensure_slices(&order)?;
-        let plan: Vec<(SliceKey, Vec<PageId>, Vec<NodeId>, Lsn)> = {
-            let mut st = self.state.lock();
-            let mut plan = Vec::with_capacity(order.len());
-            for key in order {
-                let eff = match as_of {
-                    None => st.slices[&key].acked_lsn,
-                    Some(requested) => {
-                        if requested > st.slices[&key].flush_lsn {
-                            self.flush_slice_locked(&mut st, key);
-                        }
-                        requested.min(st.slices[&key].flush_lsn)
-                    }
-                };
-                let replicas = self.replicas_by_latency(&st.slices[&key]);
-                let pages = by_slice.remove(&key).unwrap_or_default();
-                plan.push((key, pages, replicas, eff));
-            }
-            plan
-        };
-        let mut outcomes: Vec<Result<Vec<(PageId, PageBuf)>>> = Vec::with_capacity(plan.len());
-        let mut fallback: Vec<&(SliceKey, Vec<PageId>, Vec<NodeId>, Lsn)> = Vec::new();
-        if self.cfg.rpc_coalescing && plan.len() > 1 {
-            // Coalesce: every slice whose primary (best-routed) replica
-            // lives on the same Page Store node rides ONE grouped fabric
-            // envelope — one round trip, one latency charge — instead of
-            // one `ReadPages` call per slice. A slice whose envelope fails,
-            // or whose response carries a budget continuation, falls back
-            // to the per-slice loop below (reads are idempotent, so the
-            // retry returns byte-identical pages).
-            let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-            for (i, entry) in plan.iter().enumerate() {
-                match entry.2.first() {
-                    Some(&node) => match groups.iter_mut().find(|(n, _)| *n == node) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((node, vec![i])),
-                    },
-                    None => fallback.push(entry),
-                }
-            }
-            let requests: Vec<(NodeId, Vec<ReadPagesRequest>)> = groups
-                .iter()
-                .map(|(node, idxs)| {
-                    let reqs = idxs
-                        .iter()
-                        .map(|&i| {
-                            let (key, pages, _, eff) = &plan[i];
-                            ReadPagesRequest {
-                                key: *key,
-                                as_of: *eff,
-                                pages: pages.clone(),
-                                max_pages: self.cfg.read_batch_max_pages,
-                                max_bytes: self.cfg.read_batch_max_bytes,
-                            }
-                        })
-                        .collect();
-                    (*node, reqs)
-                })
-                .collect();
-            let start = self.clock.now_us();
-            let replies = self.pages.read_pages_grouped(self.me, requests);
-            // One EWMA sample per slice, charged with the whole fan-out's
-            // elapsed time: envelopes run concurrently on the dispatcher,
-            // so this is each envelope's wall time plus any queueing — an
-            // honest congestion signal for the routing order.
-            let elapsed = self.clock.now_us().saturating_sub(start).max(1);
-            for ((node, idxs), slots) in groups.iter().zip(replies) {
-                self.stats.note_coalesced(idxs.len());
-                let mut served_pages = 0usize;
-                let mut any_ok = false;
-                for (&i, slot) in idxs.iter().zip(slots) {
-                    let entry = &plan[i];
-                    let (key, pages, _, eff) = entry;
-                    match slot {
-                        Ok(resp) if !matches!(resp.resume_from, Some(r) if r < pages.len()) => {
-                            any_ok = true;
-                            served_pages += resp.pages.len();
-                            self.note_read_latency(*key, *node, elapsed);
-                            outcomes.push(self.finish_slice_batch(pages, resp.pages, *eff));
-                        }
-                        Ok(_) => {
-                            self.stats.grouped_fallback_slices.inc();
-                            fallback.push(entry);
-                        }
-                        Err(_) => {
-                            // Same EWMA penalty as the per-slice path, so a
-                            // dead primary sinks in the routing order.
-                            self.note_read_latency(*key, *node, elapsed.saturating_mul(4));
-                            self.read_batch_stats.batch_retries.inc();
-                            self.stats.grouped_fallback_slices.inc();
-                            fallback.push(entry);
-                        }
-                    }
-                }
-                if any_ok {
-                    // A grouped envelope is one miss-path round trip.
-                    self.read_batch_stats.batch_rpcs.inc();
-                    self.read_batch_stats.note_rpc_pages(served_pages);
-                }
-            }
-        } else {
-            fallback.extend(plan.iter());
-        }
-        type SliceReadJob<'a> = Box<dyn FnOnce() -> Result<Vec<(PageId, PageBuf)>> + Send + 'a>;
-        let jobs: Vec<SliceReadJob<'_>> = fallback
-            .into_iter()
-            .map(|(key, pages, replicas, eff)| {
-                Box::new(move || self.read_slice_batch(*key, pages, replicas, *eff))
-                    as SliceReadJob<'_>
-            })
-            .collect();
-        outcomes.extend(self.pages.fabric.fan_out(jobs));
-        let mut got: HashMap<PageId, PageBuf> = HashMap::new();
-        for res in outcomes {
-            for (page, buf) in res? {
-                got.insert(page, buf);
-            }
-        }
-        // Request order, duplicates included (each gets its own copy).
-        let mut out = Vec::with_capacity(ids.len());
-        for &page in ids {
-            match got.get(&page) {
-                Some(buf) => out.push((page, buf.clone())),
-                None => return Err(TaurusError::Internal("batched read lost a page".into())),
-            }
-        }
-        Ok(out)
     }
 
-    /// Reads one slice's share of a batch: the budgeted `ReadPages`
-    /// continuation loop against each replica in routing order (a replica
-    /// that fails mid-continuation loses its partial result and the slice
-    /// restarts on the next one — reads are idempotent), then per-page
-    /// straggler retries through the single-page repair path.
-    fn read_slice_batch(
-        &self,
-        key: SliceKey,
-        pages: &[PageId],
-        replicas: &[NodeId],
-        as_of: Lsn,
-    ) -> Result<Vec<(PageId, PageBuf)>> {
-        let mut batch: Vec<(PageId, PageReadOutcome)> = Vec::new();
-        'replicas: for &node in replicas {
-            let mut remaining = pages;
-            let mut acc: Vec<(PageId, PageReadOutcome)> = Vec::with_capacity(pages.len());
-            loop {
-                let call = ReadPagesRequest {
-                    key,
-                    as_of,
-                    pages: remaining.to_vec(),
-                    max_pages: self.cfg.read_batch_max_pages,
-                    max_bytes: self.cfg.read_batch_max_bytes,
-                };
-                let start = self.clock.now_us();
-                match self.pages.read_pages_from(node, self.me, &call) {
-                    Ok(resp) => {
-                        // One EWMA sample per batch RPC: batches and single
-                        // reads feed the same routing signal.
-                        self.note_read_latency(
-                            key,
-                            node,
-                            self.clock.now_us().saturating_sub(start),
-                        );
-                        self.read_batch_stats.batch_rpcs.inc();
-                        self.read_batch_stats.note_rpc_pages(resp.pages.len());
-                        acc.extend(resp.pages);
-                        match resp.resume_from {
-                            Some(i) if i < remaining.len() => remaining = &remaining[i..],
-                            _ => {
-                                batch = acc;
-                                break 'replicas;
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        // Same EWMA penalty as the ReadPage path, so a
-                        // failing replica sinks in the routing order.
-                        let elapsed = self.clock.now_us().saturating_sub(start);
-                        self.note_read_latency(key, node, elapsed.max(1).saturating_mul(4));
-                        self.read_batch_stats.batch_retries.inc();
-                        continue 'replicas;
-                    }
+    fn absorb(&self, _: &Sal, work: &mut PageWork, resp: ReadPagesResponse) -> Result<usize> {
+        let items = resp.pages.len();
+        for (page, outcome) in resp.pages {
+            match (outcome, self.batch) {
+                (PageReadOutcome::Ok(buf, _), _) => {
+                    work.pending.retain(|&p| p != page);
+                    work.served.push((page, buf));
                 }
+                // Every replica agrees on recycling: no retry can help.
+                (PageReadOutcome::Recycled { requested }, _) => {
+                    return Err(TaurusError::VersionRecycled { page, requested });
+                }
+                // The page stays pending and goes to the next replica.
+                (PageReadOutcome::Failed(_), Some(b)) => {
+                    b.partial_failures.inc();
+                    b.straggler_retries.inc();
+                }
+                (PageReadOutcome::Failed(_), None) => {}
             }
         }
-        self.finish_slice_batch(pages, batch, as_of)
+        Ok(items)
     }
 
-    /// Turns one slice's `ReadPages` outcomes into served pages, retrying
-    /// stragglers (per-page failures, or pages no replica served) through
-    /// the single-page repair path. Shared by the per-slice continuation
-    /// loop and the grouped (coalesced) envelope path.
-    fn finish_slice_batch(
-        &self,
-        pages: &[PageId],
-        batch: Vec<(PageId, PageReadOutcome)>,
-        as_of: Lsn,
-    ) -> Result<Vec<(PageId, PageBuf)>> {
-        let mut served: HashMap<PageId, PageBuf> = HashMap::with_capacity(batch.len());
-        for (page, outcome) in batch {
-            match outcome {
-                PageReadOutcome::Ok(buf, _) => {
-                    self.read_batch_stats.pages_returned.inc();
-                    served.insert(page, buf);
-                }
-                PageReadOutcome::Recycled { .. } | PageReadOutcome::Failed(_) => {
-                    self.read_batch_stats.partial_failures.inc();
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(pages.len());
-        for &page in pages {
-            match served.remove(&page) {
-                Some(buf) => out.push((page, buf)),
-                None => {
-                    // Straggler: the single-page path repairs from the Log
-                    // Stores if needed and surfaces the real per-page error
-                    // (e.g. `VersionRecycled`) when nothing can serve it.
-                    self.read_batch_stats.straggler_retries.inc();
-                    out.push((page, self.read_page(page, Some(as_of))?));
-                }
-            }
-        }
-        Ok(out)
+    fn done(work: &PageWork) -> bool {
+        work.pending.is_empty()
     }
 
-    // ==================================================================
-    // Near-data scan pushdown (NDP follow-on paper; PAPERS.md)
-    // ==================================================================
-
-    /// Plans and executes a pushed-down table scan at snapshot `as_of`:
-    /// slices are grouped by primary replica node and (with
-    /// `rpc_coalescing`) one grouped `ScanSlice` envelope per node is
-    /// fanned out on the fabric's bounded dispatcher pool; remaining slices
-    /// get one worker each on the same pool. Replicas are tried in the same
-    /// `(suspect, EWMA)` order as `ReadPage`, with repair-and-retry and a
-    /// `ReadPage`-and-evaluate-locally fallback per slice. Results are
-    /// merged and key-sorted.
-    ///
-    /// Snapshot handling: per-slice persistent LSNs are slice-local, so a
-    /// quiet slice's replicas can never reach a *global* `as_of` past the
-    /// slice's own last record — the planner first flushes the slice
-    /// buffer, then caps the slice's snapshot at its flush LSN. The cap is
-    /// exact: the slice has no records in `(flush_lsn, as_of]`.
-    pub fn scan_pushdown(&self, req: &ScanRequest, as_of: Lsn) -> Result<TableScan> {
-        self.ndp_stats.pushdown_scans.inc();
-        let plan: Vec<(SliceKey, Vec<NodeId>, Lsn)> = {
-            let mut st = self.state.lock();
-            let mut keys: Vec<SliceKey> = st.slices.keys().copied().collect();
-            keys.sort();
-            let mut plan = Vec::with_capacity(keys.len());
-            for key in keys {
-                self.flush_slice_locked(&mut st, key); // no-op when empty
-                let Some(slice) = st.slices.get(&key) else {
-                    continue;
-                };
-                // Retired cut-over parents are skipped: their successors
-                // cover the key range at every scannable snapshot, and
-                // scanning both would double-count the ingest overlap.
-                // (Historical scans below a successor's base LSN are out of
-                // scope — point reads route by fence via `route_read`.)
-                if slice.fence.is_some() {
-                    continue;
-                }
-                let eff = as_of.min(slice.flush_lsn);
-                plan.push((key, self.replicas_by_latency(slice), eff));
-            }
-            plan
-        };
-        let mut outcomes: Vec<Result<SliceScanOutcome>> = Vec::with_capacity(plan.len());
-        let mut fallback: Vec<&(SliceKey, Vec<NodeId>, Lsn)> = Vec::new();
-        if self.cfg.rpc_coalescing && plan.len() > 1 {
-            // Coalesce: one grouped `ScanSlice` envelope per primary node.
-            // A slice whose envelope fails or whose response needs a budget
-            // continuation restarts on the per-slice escalation path below
-            // (idempotent; partial results are discarded, matching the
-            // per-slice policy on mid-continuation failure).
-            let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-            for (i, entry) in plan.iter().enumerate() {
-                match entry.1.first() {
-                    Some(&node) => match groups.iter_mut().find(|(n, _)| *n == node) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((node, vec![i])),
-                    },
-                    None => fallback.push(entry),
-                }
-            }
-            let requests: Vec<(NodeId, Vec<ScanSliceRequest>)> = groups
-                .iter()
-                .map(|(node, idxs)| {
-                    let calls = idxs
-                        .iter()
-                        .map(|&i| {
-                            let (key, _, eff) = &plan[i];
-                            ScanSliceRequest {
-                                key: *key,
-                                as_of: *eff,
-                                req: req.clone(),
-                                resume_after: None,
-                                max_rows: self.cfg.ndp_scan_max_rows,
-                                max_bytes: self.cfg.ndp_scan_max_bytes,
-                            }
-                        })
-                        .collect();
-                    (*node, calls)
-                })
-                .collect();
-            let start = self.clock.now_us();
-            let replies = self.pages.scan_slices_grouped(self.me, requests);
-            let elapsed = self.clock.now_us().saturating_sub(start).max(1);
-            for ((node, idxs), slots) in groups.iter().zip(replies) {
-                self.stats.note_coalesced(idxs.len());
-                let mut any_ok = false;
-                for (&i, slot) in idxs.iter().zip(slots) {
-                    let entry = &plan[i];
-                    let key = entry.0;
-                    match slot {
-                        Ok(resp) if resp.next_page.is_none() => {
-                            any_ok = true;
-                            self.note_read_latency(key, *node, elapsed);
-                            self.ndp_stats.rows_scanned.add(resp.rows_scanned);
-                            self.ndp_stats.rows_returned.add(resp.rows.len() as u64);
-                            self.ndp_stats.bytes_returned.add(resp.bytes_returned);
-                            self.ndp_stats.pages_scanned.add(resp.pages_scanned);
-                            let mut slice_out = SliceScanOutcome::default();
-                            slice_out.agg.merge(&resp.agg);
-                            slice_out.rows.extend(resp.rows);
-                            outcomes.push(Ok(slice_out));
-                        }
-                        Ok(_) => {
-                            self.stats.grouped_fallback_slices.inc();
-                            fallback.push(entry);
-                        }
-                        Err(_) => {
-                            self.note_read_latency(key, *node, elapsed.saturating_mul(4));
-                            self.ndp_stats.slice_retries.inc();
-                            self.stats.grouped_fallback_slices.inc();
-                            fallback.push(entry);
-                        }
-                    }
-                }
-                if any_ok {
-                    // A grouped envelope is one `ScanSlice` round trip.
-                    self.ndp_stats.slice_calls.inc();
-                }
-            }
-        } else {
-            fallback.extend(plan.iter());
+    fn note_rpc(&self, _: &Sal, items: usize) {
+        if let Some(b) = self.batch {
+            b.batch_rpcs.inc();
+            b.note_rpc_pages(items);
         }
-        let jobs: Vec<Box<dyn FnOnce() -> Result<SliceScanOutcome> + Send + '_>> = fallback
-            .into_iter()
-            .map(|(key, replicas, eff)| {
-                Box::new(move || self.scan_one_slice(req, *key, replicas, *eff))
-                    as Box<dyn FnOnce() -> Result<SliceScanOutcome> + Send + '_>
-            })
-            .collect();
-        outcomes.extend(self.pages.fabric.fan_out(jobs));
-        let mut out = TableScan::default();
-        for res in outcomes {
-            let slice_out = res?;
-            if slice_out.fallback {
-                out.fallback_slices += 1;
-            } else {
-                out.pushdown_slices += 1;
-            }
-            out.rows.extend(slice_out.rows);
-            out.agg.merge(&slice_out.agg);
-        }
-        // At one snapshot LSN, leaf pages partition the key space across
-        // slices, so keys are globally unique — a plain sort restores the
-        // B-tree scan order.
-        out.rows.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
     }
 
-    /// Scans one slice: pushdown against replicas in routing order, then
-    /// Log-Store repair + placement refresh + one more pushdown round, and
-    /// finally the local `ReadPage` fallback (same escalation shape as
-    /// [`Sal::read_page`]).
-    fn scan_one_slice(
-        &self,
-        req: &ScanRequest,
-        key: SliceKey,
-        replicas: &[NodeId],
-        as_of: Lsn,
-    ) -> Result<SliceScanOutcome> {
-        if let Ok(out) = self.scan_slice_remote(req, key, replicas, as_of) {
-            return Ok(out);
+    fn note_failure(&self, sal: &Sal) {
+        match self.batch {
+            Some(b) => b.batch_retries.inc(),
+            None => sal.stats.read_retries.inc(),
         }
-        let _ = self.repair_slice_from_logstores(key);
-        self.refresh_placement();
-        let refreshed = {
-            let st = self.state.lock();
-            match st.slices.get(&key) {
-                Some(slice) => self.replicas_by_latency(slice),
-                None => replicas.to_vec(),
-            }
-        };
-        if let Ok(out) = self.scan_slice_remote(req, key, &refreshed, as_of) {
-            return Ok(out);
-        }
-        self.scan_slice_local(req, key, &refreshed, as_of)
     }
 
-    /// Runs the budgeted `ScanSlice` continuation loop against each replica
-    /// in order. A replica that fails mid-continuation loses its partial
-    /// result and the whole slice restarts on the next replica — reads are
-    /// idempotent, and restarting keeps the response a pure function of one
-    /// replica's directory.
-    fn scan_slice_remote(
-        &self,
-        req: &ScanRequest,
-        key: SliceKey,
-        replicas: &[NodeId],
-        as_of: Lsn,
-    ) -> Result<SliceScanOutcome> {
-        let mut last_err = TaurusError::AllReplicasFailed(key);
-        'replicas: for &node in replicas {
-            let mut call = ScanSliceRequest {
-                key,
-                as_of,
-                req: req.clone(),
-                resume_after: None,
-                max_rows: self.cfg.ndp_scan_max_rows,
-                max_bytes: self.cfg.ndp_scan_max_bytes,
-            };
-            let mut out = SliceScanOutcome::default();
-            loop {
-                let start = self.clock.now_us();
-                match self.pages.scan_slice_from(node, self.me, &call) {
-                    Ok(resp) => {
-                        self.note_read_latency(
-                            key,
-                            node,
-                            self.clock.now_us().saturating_sub(start),
-                        );
-                        self.ndp_stats.slice_calls.inc();
-                        self.ndp_stats.rows_scanned.add(resp.rows_scanned);
-                        self.ndp_stats.rows_returned.add(resp.rows.len() as u64);
-                        self.ndp_stats.bytes_returned.add(resp.bytes_returned);
-                        self.ndp_stats.pages_scanned.add(resp.pages_scanned);
-                        out.rows.extend(resp.rows);
-                        out.agg.merge(&resp.agg);
-                        match resp.next_page {
-                            Some(next) => call.resume_after = Some(next),
-                            None => return Ok(out),
-                        }
-                    }
-                    Err(e) => {
-                        // Same EWMA penalty as the ReadPage path, so a
-                        // failing replica sinks in the routing order.
-                        let elapsed = self.clock.now_us().saturating_sub(start);
-                        self.note_read_latency(key, node, elapsed.max(1).saturating_mul(4));
-                        self.ndp_stats.slice_retries.inc();
-                        last_err = e;
-                        continue 'replicas;
-                    }
-                }
+    fn resolve(&self, sal: &Sal, slice: Planned<PageWork>, err: TaurusError) -> Result<Self::Out> {
+        use TaurusError::{PlacementEpochMismatch, SliceFenced};
+        let (pending, mut served) = (slice.work.pending, slice.work.served);
+        if !pending.is_empty() {
+            let fenced = matches!(err, SliceFenced { .. } | PlacementEpochMismatch { .. });
+            if !fenced || self.rerouted {
+                return Err(err);
             }
+            // Raced an elastic cut-over: the slice we routed to was sealed
+            // (or our epoch went stale) between routing and the RPC. Learn
+            // the new placement and route the rest once more.
+            sal.stats.read_retries.inc();
+            sal.refresh_placement();
+            served.extend(sal.read_planned(&pending, self.as_of, self.batch, true)?);
         }
-        Err(last_err)
+        Ok(served)
+    }
+}
+
+/// Pushed-down scans over `ScanSlice`; a slice's work is its merged
+/// outcome once a replica has scanned it whole.
+struct PushdownScan<'a>(&'a ScanRequest);
+
+impl SliceRead for PushdownScan<'_> {
+    type Call = ScanSliceRequest;
+    type Work = Option<SliceScanOutcome>;
+    type Out = SliceScanOutcome;
+
+    fn request(&self, sal: &Sal, slice: &Planned<Self::Work>) -> ScanSliceRequest {
+        ScanSliceRequest {
+            key: slice.key,
+            as_of: slice.as_of,
+            req: self.0.clone(),
+            resume_after: None,
+            max_rows: sal.cfg.ndp_scan_max_rows,
+            max_bytes: sal.cfg.ndp_scan_max_bytes,
+        }
     }
 
-    /// Fallback: fetch every page of the slice through the versioned
-    /// `ReadPage` path (which has its own repair-and-retry) and run the
-    /// *same* shared evaluator locally. The page inventory is the union
+    fn absorb(&self, sal: &Sal, work: &mut Self::Work, resp: ScanSliceResponse) -> Result<usize> {
+        let ndp = &sal.ndp_stats;
+        ndp.rows_scanned.add(resp.rows_scanned);
+        ndp.rows_returned.add(resp.rows.len() as u64);
+        ndp.bytes_returned.add(resp.bytes_returned);
+        ndp.pages_scanned.add(resp.pages_scanned);
+        let out = work.get_or_insert_with(SliceScanOutcome::default);
+        out.rows.extend(resp.rows);
+        out.agg.merge(&resp.agg);
+        Ok(0)
+    }
+
+    fn done(work: &Self::Work) -> bool {
+        work.is_some()
+    }
+
+    fn note_rpc(&self, sal: &Sal, _: usize) {
+        sal.ndp_stats.slice_calls.inc();
+    }
+
+    fn note_failure(&self, sal: &Sal) {
+        sal.ndp_stats.slice_retries.inc();
+    }
+
+    /// A slice no replica could scan falls back to fetching its pages on
+    /// the batched read path (with its own repair-and-retry) and running
+    /// the *same* shared evaluator locally. The page inventory is the union
     /// across reachable replicas, so a replica missing directory entries
     /// cannot silently shrink the scan.
-    fn scan_slice_local(
-        &self,
-        req: &ScanRequest,
-        key: SliceKey,
-        replicas: &[NodeId],
-        as_of: Lsn,
-    ) -> Result<SliceScanOutcome> {
-        self.ndp_stats.fallbacks.inc();
-        let mut pages: BTreeSet<PageId> = BTreeSet::new();
-        let mut reachable = false;
-        for &node in replicas {
-            if let Ok(ids) = self.pages.page_ids_of(node, self.me, key) {
-                reachable = true;
-                pages.extend(ids);
-            }
+    fn resolve(&self, sal: &Sal, slice: Planned<Self::Work>, _: TaurusError) -> Result<Self::Out> {
+        if let Some(out) = slice.work {
+            return Ok(out);
         }
-        if !reachable {
-            return Err(TaurusError::AllReplicasFailed(key));
+        let ndp = &sal.ndp_stats;
+        ndp.fallbacks.inc();
+        let inventories: Vec<Vec<PageId>> = slice
+            .replicas
+            .iter()
+            .filter_map(|&node| sal.pages.page_ids_of(node, sal.me, slice.key).ok())
+            .collect();
+        if inventories.is_empty() {
+            return Err(TaurusError::AllReplicasFailed(slice.key));
         }
+        let pages: BTreeSet<PageId> = inventories.into_iter().flatten().collect();
+        let pages: Vec<PageId> = pages.into_iter().collect();
         let mut acc = ScanAccumulator::default();
-        for page in pages {
-            let buf = self.read_page(page, Some(as_of))?;
-            self.ndp_stats.fallback_pages.inc();
-            self.ndp_stats.fallback_bytes.add(PAGE_SIZE as u64);
-            evaluate_leaf_page(&buf, req, &mut acc)?;
+        for (_, buf) in sal.read_pages(&pages, Some(slice.as_of))? {
+            evaluate_leaf_page(&buf, self.0, &mut acc)?;
         }
+        ndp.fallback_pages.add(pages.len() as u64);
+        ndp.fallback_bytes.add((pages.len() * PAGE_SIZE) as u64);
         Ok(SliceScanOutcome {
             rows: acc.rows,
             agg: acc.agg,
             fallback: true,
         })
     }
+}
 
+impl Sal {
     // ==================================================================
     // Truncation (§4.3) and repair (§5.2) — driven by RecoveryService
     // ==================================================================

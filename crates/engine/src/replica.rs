@@ -361,40 +361,27 @@ impl ReplicaFetcher<'_> {
             }
         }
         let mut out = Vec::with_capacity(ids.len());
-        'slices: for key in order {
-            let pages = &by_slice[&key];
-            'replicas: for node in r.pages.replicas_of(key) {
-                let mut remaining: &[PageId] = pages;
-                let mut acc: Vec<(PageId, PageReadOutcome)> = Vec::new();
-                loop {
-                    let call = ReadPagesRequest {
-                        key,
-                        as_of: self.tv,
-                        pages: remaining.to_vec(),
-                        max_pages: r.cfg.read_batch_max_pages,
-                        max_bytes: r.cfg.read_batch_max_bytes,
-                    };
-                    match r.pages.read_pages_from(node, r.me, &call) {
-                        Ok(resp) => {
-                            acc.extend(resp.pages);
-                            match resp.resume_from {
-                                Some(i) if i > 0 && i < remaining.len() => {
-                                    remaining = &remaining[i..];
-                                }
-                                _ => break,
-                            }
-                        }
-                        // Whole-call refusal (behind / rebuilding / down):
-                        // restart the slice on the next replica.
-                        Err(_) => continue 'replicas,
-                    }
-                }
-                for (page, outcome) in acc {
+        for key in order {
+            let call = ReadPagesRequest {
+                key,
+                as_of: self.tv,
+                pages: by_slice.remove(&key).unwrap_or_default(),
+                max_pages: r.cfg.read_batch_max_pages,
+                max_bytes: r.cfg.read_batch_max_bytes,
+            };
+            // Whole-call refusal (behind / rebuilding / down): restart the
+            // slice on the next replica.
+            let served = r
+                .pages
+                .replicas_of(key)
+                .into_iter()
+                .find_map(|node| r.pages.call_resumed(node, r.me, call.clone()).ok());
+            for resp in served.into_iter().flatten() {
+                for (page, outcome) in resp.pages {
                     if let PageReadOutcome::Ok(buf, _) = outcome {
                         out.push((page, buf));
                     }
                 }
-                continue 'slices;
             }
         }
         out
@@ -557,32 +544,26 @@ impl ReplicaTxn {
     /// replica (reads are idempotent).
     fn scan_slice_remote(&self, req: &ScanRequest, key: SliceKey) -> Result<ScanAccumulator> {
         let r = &self.replica;
+        let call = ScanSliceRequest {
+            key,
+            as_of: self.tv,
+            req: req.clone(),
+            resume_after: None,
+            max_rows: r.cfg.ndp_scan_max_rows,
+            max_bytes: r.cfg.ndp_scan_max_bytes,
+        };
         let mut last_err = TaurusError::AllReplicasFailed(key);
-        'replicas: for node in r.pages.replicas_of(key) {
-            let mut call = ScanSliceRequest {
-                key,
-                as_of: self.tv,
-                req: req.clone(),
-                resume_after: None,
-                max_rows: r.cfg.ndp_scan_max_rows,
-                max_bytes: r.cfg.ndp_scan_max_bytes,
-            };
-            let mut out = ScanAccumulator::default();
-            loop {
-                match r.pages.scan_slice_from(node, r.me, &call) {
-                    Ok(resp) => {
+        for node in r.pages.replicas_of(key) {
+            match r.pages.call_resumed(node, r.me, call.clone()) {
+                Ok(resps) => {
+                    let mut out = ScanAccumulator::default();
+                    for resp in resps {
                         out.rows.extend(resp.rows);
                         out.agg.merge(&resp.agg);
-                        match resp.next_page {
-                            Some(next) => call.resume_after = Some(next),
-                            None => return Ok(out),
-                        }
                     }
-                    Err(e) => {
-                        last_err = e;
-                        continue 'replicas;
-                    }
+                    return Ok(out);
                 }
+                Err(e) => last_err = e,
             }
         }
         Err(last_err)

@@ -39,6 +39,53 @@ use crate::server::{
     SliceHeatSnapshot,
 };
 
+/// A slice-granular read request — `ReadPages` (see [`crate::readpages`])
+/// or `ScanSlice` (see [`crate::pushdown`]) — as the client side sees it:
+/// served by one Page Store, and re-issued when a page or byte budget
+/// stopped a response short.
+pub trait SliceCall: Clone + Send + Sync {
+    type Resp: Send;
+    /// Runs the request inside `server` (the RPC handler).
+    fn serve(&self, server: &PageStoreServer) -> Result<Self::Resp>;
+    /// Turns the request into its continuation after `resp`; `false` when
+    /// `resp` finished it (the request is then spent).
+    fn resume(&mut self, resp: &Self::Resp) -> bool;
+}
+
+impl SliceCall for ReadPagesRequest {
+    type Resp = ReadPagesResponse;
+
+    fn serve(&self, server: &PageStoreServer) -> Result<ReadPagesResponse> {
+        server.read_pages(self)
+    }
+
+    /// Continues with the ids from `resume_from` on. A continuation that
+    /// would not advance ends the call, leaving the tail unattempted.
+    fn resume(&mut self, resp: &ReadPagesResponse) -> bool {
+        match resp.resume_from {
+            Some(i) if i > 0 && i < self.pages.len() => {
+                self.pages.drain(..i);
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+impl SliceCall for ScanSliceRequest {
+    type Resp = ScanSliceResponse;
+
+    fn serve(&self, server: &PageStoreServer) -> Result<ScanSliceResponse> {
+        server.scan_slice(self)
+    }
+
+    /// Continues with the pages after `next_page`.
+    fn resume(&mut self, resp: &ScanSliceResponse) -> bool {
+        self.resume_after = resp.next_page;
+        self.resume_after.is_some()
+    }
+}
+
 /// Construction parameters for Page Store servers spawned by the cluster.
 #[derive(Clone, Copy, Debug)]
 pub struct PageStoreOptions {
@@ -199,28 +246,27 @@ impl PageStoreCluster {
             .call(from, node, || server.read_page(key, page, as_of))?
     }
 
-    /// `ReadPages` RPC to one specific replica: one round trip returns many
-    /// versioned pages of a slice (see [`crate::readpages`]).
-    pub fn read_pages_from(
+    /// One slice read to one replica, following budget continuations —
+    /// the one client-side continuation loop for `ReadPages` and
+    /// `ScanSlice`. Returns every round trip's response in order. Any
+    /// failed round trip fails the whole call: the caller restarts on
+    /// another replica (reads are idempotent).
+    pub fn call_resumed<C: SliceCall>(
         &self,
         node: NodeId,
         from: NodeId,
-        call: &ReadPagesRequest,
-    ) -> Result<ReadPagesResponse> {
+        mut call: C,
+    ) -> Result<Vec<C::Resp>> {
         let server = self.server(node)?;
-        self.fabric.call(from, node, || server.read_pages(call))?
-    }
-
-    /// `ScanSlice` RPC to one specific replica: near-data scan pushdown
-    /// (see [`crate::pushdown`]).
-    pub fn scan_slice_from(
-        &self,
-        node: NodeId,
-        from: NodeId,
-        call: &ScanSliceRequest,
-    ) -> Result<ScanSliceResponse> {
-        let server = self.server(node)?;
-        self.fabric.call(from, node, || server.scan_slice(call))?
+        let mut out = Vec::new();
+        loop {
+            let resp = self.fabric.call(from, node, || call.serve(&server))??;
+            let more = call.resume(&resp);
+            out.push(resp);
+            if !more {
+                return Ok(out);
+            }
+        }
     }
 
     /// Page-id inventory RPC: which pages a replica's Log Directory tracks
@@ -566,76 +612,28 @@ impl PageStoreCluster {
         self.read_page_from(node, from, key, page, as_of)
     }
 
-    /// `ReadPages` with the caller's cached placement epoch.
-    pub fn read_pages_checked(
-        &self,
-        node: NodeId,
-        from: NodeId,
-        call: &ReadPagesRequest,
-        epoch: u64,
-    ) -> Result<ReadPagesResponse> {
-        self.check_rpc(call.key, node, epoch, None)?;
-        self.read_pages_from(node, from, call)
-    }
-
-    /// `ScanSlice` with the caller's cached placement epoch.
-    pub fn scan_slice_checked(
-        &self,
-        node: NodeId,
-        from: NodeId,
-        call: &ScanSliceRequest,
-        epoch: u64,
-    ) -> Result<ScanSliceResponse> {
-        self.check_rpc(call.key, node, epoch, None)?;
-        self.scan_slice_from(node, from, call)
-    }
-
-    /// Grouped `ReadPages`: every per-slice request bound for one node
-    /// rides a single fabric round trip (one envelope, one latency charge),
-    /// demuxed back per request in input order. A failed envelope fails all
-    /// of its slots with `NodeUnavailable`; the caller fails over per
-    /// slice. Requests are unchecked, matching the per-slice
-    /// [`PageStoreCluster::read_pages_from`] miss path.
-    pub fn read_pages_grouped(
+    /// Coalesced calls: every request bound for one node runs `handler`
+    /// inside a single fabric round trip to that node (one envelope, one
+    /// latency charge), demuxed back per request in input order. A failed
+    /// envelope fails all of its slots with `NodeUnavailable`; the caller
+    /// fails over per slot.
+    pub fn call_grouped<Q: Sync, T: Send>(
         &self,
         from: NodeId,
-        groups: Vec<(NodeId, Vec<ReadPagesRequest>)>,
-    ) -> Vec<Vec<Result<ReadPagesResponse>>> {
-        type Handler<'a> = Box<dyn FnOnce() -> Result<ReadPagesResponse> + Send + 'a>;
-        let calls: Vec<(NodeId, Vec<Handler<'_>>)> = groups
+        groups: &[(NodeId, Vec<Q>)],
+        handler: impl Fn(NodeId, &PageStoreServer, &Q) -> Result<T> + Sync,
+    ) -> Vec<Vec<Result<T>>> {
+        type Handler<'a, T> = Box<dyn FnOnce() -> Result<T> + Send + 'a>;
+        let handler = &handler;
+        let calls: Vec<(NodeId, Vec<Handler<'_, T>>)> = groups
             .iter()
             .map(|(node, reqs)| {
                 let node = *node;
                 let handlers = reqs
                     .iter()
-                    .map(|req| Box::new(move || self.server(node)?.read_pages(req)) as Handler<'_>)
-                    .collect();
-                (node, handlers)
-            })
-            .collect();
-        self.fabric
-            .call_grouped(from, calls)
-            .into_iter()
-            .map(|slots| slots.into_iter().map(|s| s.and_then(|r| r)).collect())
-            .collect()
-    }
-
-    /// Grouped `ScanSlice`: one envelope per node carrying every slice's
-    /// scan request; see [`PageStoreCluster::read_pages_grouped`] for the
-    /// demux and failure contract.
-    pub fn scan_slices_grouped(
-        &self,
-        from: NodeId,
-        groups: Vec<(NodeId, Vec<ScanSliceRequest>)>,
-    ) -> Vec<Vec<Result<ScanSliceResponse>>> {
-        type Handler<'a> = Box<dyn FnOnce() -> Result<ScanSliceResponse> + Send + 'a>;
-        let calls: Vec<(NodeId, Vec<Handler<'_>>)> = groups
-            .iter()
-            .map(|(node, reqs)| {
-                let node = *node;
-                let handlers = reqs
-                    .iter()
-                    .map(|req| Box::new(move || self.server(node)?.scan_slice(req)) as Handler<'_>)
+                    .map(|req| {
+                        Box::new(move || handler(node, &*self.server(node)?, req)) as Handler<'_, T>
+                    })
                     .collect();
                 (node, handlers)
             })
@@ -657,29 +655,10 @@ impl PageStoreCluster {
         from: NodeId,
         groups: FragmentGroups,
     ) -> Vec<Vec<Result<Lsn>>> {
-        type Handler<'a> = Box<dyn FnOnce() -> Result<Lsn> + Send + 'a>;
-        let calls: Vec<(NodeId, Vec<Handler<'_>>)> = groups
-            .iter()
-            .map(|(node, frags)| {
-                let node = *node;
-                let handlers = frags
-                    .iter()
-                    .map(|(frag, epoch)| {
-                        let (frag, epoch) = (Arc::clone(frag), *epoch);
-                        Box::new(move || {
-                            self.check_rpc(frag.slice, node, epoch, Some(frag.last_lsn()))?;
-                            self.server(node)?.write_logs(&frag)
-                        }) as Handler<'_>
-                    })
-                    .collect();
-                (node, handlers)
-            })
-            .collect();
-        self.fabric
-            .call_grouped(from, calls)
-            .into_iter()
-            .map(|slots| slots.into_iter().map(|s| s.and_then(|r| r)).collect())
-            .collect()
+        self.call_grouped(from, &groups, |node, server, (frag, epoch)| {
+            self.check_rpc(frag.slice, node, *epoch, Some(frag.last_lsn()))?;
+            server.write_logs(frag)
+        })
     }
 
     /// Exports a seed snapshot from a live replica of `donor_key`: its

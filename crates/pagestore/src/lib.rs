@@ -43,7 +43,7 @@ pub mod readpages;
 pub mod server;
 pub mod slice;
 
-pub use cluster::{PageStoreCluster, PlacementView};
+pub use cluster::{PageStoreCluster, PlacementView, SliceCall};
 pub use fragment::{deep_clone_count, SliceFragment};
 pub use layers::{CompactionJob, L0Layer, L1Layer, LayerStore, SealPlan};
 pub use placement::{IngestFilter, PlacementEntry, PlacementMap, DYNAMIC_SLICE_BASE};
