@@ -5,7 +5,8 @@
 //! snapshot LSN:
 //!
 //! * **fetch-and-filter** — the classic path: every page crosses the fabric
-//!   through `ReadPage` and the master evaluates the predicate locally;
+//!   (`ReadPage`, or batched `ReadPages` under leaf readahead) and the
+//!   master evaluates the predicate locally;
 //! * **pushdown** — the SAL fans one `ScanSlice` call per slice out to the
 //!   Page Stores, which materialize pages *at the snapshot LSN*, evaluate
 //!   the same shared operator next to the data, and return only matching
@@ -65,18 +66,21 @@ fn main() {
 
     let req = w.selective_request(7);
 
-    header("fetch-and-filter (ReadPage every page, evaluate on master)");
-    let before = sal.stats.snapshot();
+    header("fetch-and-filter (fetch every page, evaluate on master)");
+    let (before, batch_before) = (sal.stats.snapshot(), sal.read_batch_stats.snapshot());
     let t0 = std::time::Instant::now(); // taurus-lint: allow(direct-clock) -- bench harness timing
     let fetched = master.snapshot_scan("ndp", b"", usize::MAX).unwrap();
     let fetch_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let after = sal.stats.snapshot();
+    let (after, batch_after) = (sal.stats.snapshot(), sal.read_batch_stats.snapshot());
     let matching: Vec<Vec<u8>> = fetched
         .iter()
         .filter(|(k, v)| req.matches(k, v))
         .map(|(k, _)| k.clone())
         .collect();
-    let fetch_pages = after.page_reads - before.page_reads;
+    // Pages cross the fabric one per `ReadPage` or many per batched
+    // `ReadPages` (the scan's leaf readahead): count both.
+    let fetch_pages = (after.page_reads - before.page_reads)
+        + (batch_after.pages_returned - batch_before.pages_returned);
     let fetch_bytes = fetch_pages * PAGE_SIZE as u64;
     let fetch_rows_sec = fetched.len() as f64 / fetch_secs;
     println!(
