@@ -22,7 +22,7 @@ use rand::Rng;
 
 use taurus_common::clock::ClockRef;
 use taurus_common::lsn::{LsnVector, LsnWatermark};
-use taurus_common::metrics::{Counter, Gauge, LogStoreStats};
+use taurus_common::metrics::{Counter, LogStoreStats};
 use taurus_common::scan::{evaluate_leaf_page, AggState, ScanAccumulator, ScanRequest};
 use taurus_common::sync::Sequencer;
 use taurus_common::{
@@ -629,9 +629,9 @@ struct PipeState {
     /// Whether a drain job for this node is live (queued or running on the
     /// dispatcher). At most one at a time keeps shipment per-node FIFO.
     draining: bool,
-    in_flight: Gauge,
-    /// Fragments ever queued / ever taken through a ship attempt; a
-    /// quiesce waits for `shipped` to reach the `queued` it observed.
+    /// Fragments ever queued / ever through a ship attempt. A quiesce
+    /// waits for `shipped` to reach the `queued` it observed; the drained
+    /// but unshipped rest is the pipe's in-flight gauge.
     queued: u64,
     shipped: u64,
 }
@@ -641,7 +641,6 @@ impl PipeState {
         PipeState {
             queue: VecDeque::new(),
             draining: false,
-            in_flight: Gauge::new(),
             queued: 0,
             shipped: 0,
         }
@@ -860,9 +859,7 @@ impl Sal {
                 } else {
                     1
                 };
-                let jobs: Vec<PipeJob> = pipe.queue.drain(..take).collect();
-                pipe.in_flight.add(jobs.len() as u64);
-                jobs
+                pipe.queue.drain(..take).collect()
             };
             let n = jobs.len();
             if n > 1 {
@@ -872,7 +869,6 @@ impl Sal {
             }
             let mut pipes = self.pipes.lock();
             if let Some(pipe) = pipes.get_mut(&node) {
-                pipe.in_flight.sub(n as u64);
                 pipe.shipped += n as u64;
             }
         }
@@ -1021,7 +1017,10 @@ impl Sal {
         let pipes = self.pipes.lock();
         let mut v: Vec<(NodeId, u64, u64)> = pipes
             .iter()
-            .map(|(n, p)| (*n, p.queue.len() as u64, p.in_flight.get()))
+            .map(|(n, p)| {
+                let queued = p.queue.len() as u64;
+                (*n, queued, p.queued - p.shipped - queued)
+            })
             .collect();
         v.sort_by_key(|e| e.0);
         v
